@@ -5200,7 +5200,10 @@ ORDER BY community"""),
             -- HyperLogLog distinct-user audit vs the exact count:
             -- h = (u*K1+K2) mod 2^64 (HUGEINT), bucket = top 6 bits,
             -- rho via exact powers-of-two bit length (no float log2);
-            -- estimator (alpha_e6*m^2*2^59) // (1e6*S)
+            -- raw estimate e = (alpha_e6*m^2*2^59) // (1e6*S), then the
+            -- small-range linear-counting branch: with V empty
+            -- registers, V > 0 and 2e <= 5m the estimate is
+            -- m*(floor(1e6*ln m) - floor(1e6*ln V)) // 1e6
             WITH RECURSIVE pw(k, v) AS (
                 SELECT 0, CAST(1 AS HUGEINT)
                 UNION ALL SELECT k + 1, v * 2 FROM pw WHERE k < 60),
@@ -5228,10 +5231,19 @@ ORDER BY community"""),
                                    WHERE k = 59 - allb.maxrho))
                               AS HUGEINT) AS s FROM allb),
             ex AS (SELECT CAST(count(*) AS BIGINT) AS n FROM u),
-            est AS (SELECT CAST((709000::HUGEINT * 64 * 64
+            raw AS (SELECT CAST((709000::HUGEINT * 64 * 64
                                  * 576460752303423488::HUGEINT)
                                 // (1000000::HUGEINT * S.s) AS BIGINT)
-                        AS n_est FROM S)
+                        AS e FROM S),
+            zv AS (SELECT CAST(count(*) AS BIGINT) AS v
+                   FROM allb WHERE maxrho = 0),
+            est AS (SELECT CASE
+                        WHEN zv.v > 0 AND 2 * raw.e <= 5 * 64
+                        THEN (64 * (CAST(FLOOR(1e6 * ln(64)) AS BIGINT)
+                                    - CAST(FLOOR(1e6 * ln(zv.v)) AS BIGINT)))
+                             // 1000000
+                        ELSE raw.e END AS n_est
+                    FROM raw, zv)
             SELECT CAST(64 AS BIGINT) AS m, ex.n AS n_exact,
                    est.n_est,
                    CAST((1000000 * ABS(est.n_est - ex.n))

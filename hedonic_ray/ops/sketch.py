@@ -23,8 +23,11 @@ The reference has no sketches (its distinct counting is Counter-based,
 /root/reference/hedonic/__init__.py); this is part of the
 training-data extension surface (SURVEY §2.7 dedup/set-ops family).
 The driver-gate query uses the exact path (SQL ``count(DISTINCT ..)``
-oracle); the HLL path is pytest-gated (error bound + exact
-merge-associativity), because an estimate is not SQL-reproducible.
+oracle); the float estimator here is pytest-gated (error bound + exact
+merge-associativity).  An HLL estimate is SQL-reproducible when it is
+computed in exact integers: the gate query ``rel_hll_users``
+(``relational/queries.py:hll_distinct_users``) does so, linear
+counting included, and matches its DuckDB oracle.
 """
 
 from __future__ import annotations

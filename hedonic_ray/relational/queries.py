@@ -3982,10 +3982,15 @@ def hll_distinct_users(sf_dir: str, *, p: int = 6,
     field (bit length via a searchsorted against exact powers of two
     — no float log2, which mis-floors above 2^53).  The register MAX
     is the mergeable partial (one per batch per bucket, one tiny
-    groupby); the estimator is the classic α·m²/Σ2^(−M_j) as the
-    truncating integer (α_e6·m²·2^59) // (1e6·S) with
-    S = Σ 2^(59−M_j) in exact Python ints.  Columns: m, n_exact,
-    n_est, err_e6."""
+    groupby); the raw estimate is the classic α·m²/Σ2^(−M_j) as the
+    truncating integer E = (α_e6·m²·2^59) // (1e6·S) with
+    S = Σ 2^(59−M_j) in exact Python ints.  Small-range LINEAR
+    COUNTING (Flajolet et al. 2007): with V empty registers, if
+    V > 0 and 2·E ≤ 5·m the estimate is m·ln(m/V), written as the
+    floored-ln-of-integer difference
+    (m·(⌊1e6·ln m⌋ − ⌊1e6·ln V⌋)) // 1e6; otherwise it is E.  The
+    oracle SQL evaluates the same integer rule.  Columns: m, n_exact,
+    n_est, err_e6 = (1e6·|n_est − n_exact|) // max(n_exact, 1)."""
     from ray.data.aggregate import Count, Max
 
     m = 1 << p
